@@ -51,6 +51,7 @@ import zipfile
 
 import numpy as np
 
+from repro.atomic import atomic_write
 from repro.core.config import DGConfig
 from repro.core.doppelganger import DoppelGANger
 from repro.data.dataset import TimeSeriesDataset
@@ -853,10 +854,7 @@ def _cmd_serve(args) -> int:
     print(f"listening on {host}:{port}")
     if args.port_file:
         _ensure_parent(args.port_file)
-        tmp = args.port_file + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(f"{port}\n")
-        os.replace(tmp, args.port_file)
+        atomic_write(args.port_file, f"{port}\n")
     try:
         while True:
             if args.stop_file and os.path.exists(args.stop_file):

@@ -22,6 +22,7 @@ import zipfile
 
 import numpy as np
 
+from repro.atomic import atomic_write
 from repro.nn.layers import Module
 from repro.nn.optim import Optimizer
 
@@ -98,25 +99,19 @@ def bytes_to_arrays(blob: bytes) -> dict:
 # -- atomic writes -----------------------------------------------------------
 
 def save_npz_atomic(path: str | os.PathLike, arrays: dict) -> None:
-    """Write an ``.npz`` archive atomically (temp file + rename).
+    """Write an ``.npz`` archive atomically via
+    :func:`repro.atomic.atomic_write` (``<path>.tmp`` + fsync + rename).
 
-    The archive is first written to ``<path>.tmp`` in the same directory,
-    flushed and fsynced, then moved over ``path`` with :func:`os.replace`.
     A crash at any point leaves either the old file or the new file --
     never a truncated mix.  The ``serialization.pre_rename`` fault site
     (see :mod:`repro.resilience.faults`) fires between write and rename so
     tests can prove that property.
     """
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as handle:
-        np.savez(handle, **arrays)
-        handle.flush()
-        os.fsync(handle.fileno())
     # Imported lazily: repro.resilience.checkpoint imports this module.
     from repro.resilience import faults
-    faults.fire("serialization.pre_rename")
-    os.replace(tmp, path)
+    atomic_write(path, arrays_to_bytes(arrays),
+                 before_rename=lambda: faults.fire(
+                     "serialization.pre_rename"))
 
 
 # -- full training state -----------------------------------------------------

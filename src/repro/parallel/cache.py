@@ -25,6 +25,7 @@ import json
 import os
 import pickle
 
+from repro.atomic import atomic_write
 from repro.observability import events as obs_events
 
 __all__ = ["SweepCache", "dataset_fingerprint", "config_fingerprint",
@@ -111,13 +112,7 @@ class SweepCache:
 
     def put(self, key: str, model) -> None:
         """Atomically store ``model`` under ``key``."""
-        path = self._path(key)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as handle:
-            pickle.dump(model, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        atomic_write(self._path(key), pickle.dumps(model))
 
     def clear(self) -> int:
         """Remove every entry; returns the number removed.

@@ -51,6 +51,7 @@ import threading
 import time
 import zlib
 
+from repro.atomic import atomic_write
 from repro.observability import events as obs_events
 from repro.observability import metrics as obs_metrics
 from repro.parallel.pool import mp_context
@@ -58,8 +59,7 @@ from repro.resilience.retry import RetryPolicy
 from repro.serve import protocol
 from repro.serve.batcher import MicroBatcher
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.registry import (ModelNotFound, ModelRegistry,
-                                  _write_atomic)
+from repro.serve.registry import ModelNotFound, ModelRegistry
 from repro.serve.server import (DEFAULT_MAX_REQUEST_N, GenerationService,
                                 Server)
 
@@ -302,11 +302,10 @@ def replica_main(index: int, registry_root: str, port_path: str,
         registry = ModelRegistry(registry_root)
         service = ReplicaService(registry, **dict(options))
         server = Server(service)
-        payload = json.dumps({"port": server.address[1],
-                              "pid": os.getpid(),
-                              "replica": int(index)},
-                             sort_keys=True).encode("utf-8")
-        _write_atomic(port_path, payload)
+        atomic_write(port_path, json.dumps({"port": server.address[1],
+                                            "pid": os.getpid(),
+                                            "replica": int(index)},
+                                           sort_keys=True))
         parent = os.getppid()
         while not stop.wait(0.2):
             if os.getppid() != parent:
@@ -633,19 +632,11 @@ class Fleet:
         return response, body
 
     def _route_generate(self, header: dict) -> tuple[dict, bytes]:
-        spec = header.get("model")
-        n, seed = header.get("n"), header.get("seed", 0)
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            return self._error(protocol.ERR_BAD_REQUEST,
-                               f"n must be a non-negative integer, "
-                               f"got {n!r}")
-        if n > self.max_request_n:
-            return self._error(protocol.ERR_BAD_REQUEST,
-                               f"n={n} exceeds the per-request cap of "
-                               f"{self.max_request_n}; split the request")
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            return self._error(protocol.ERR_BAD_REQUEST,
-                               f"seed must be an integer, got {seed!r}")
+        try:
+            spec, n, seed = protocol.parse_generate(header,
+                                                    self.max_request_n)
+        except protocol.BadRequest as exc:
+            return self._error(protocol.ERR_BAD_REQUEST, str(exc))
         if not self.quotas.allow(header.get("client")):
             with self._totals_lock:
                 self.totals["rate_limited"] += 1
@@ -701,9 +692,7 @@ class Fleet:
                         transient=True)
 
     # -- dispatch ------------------------------------------------------------
-    def _error(self, code: str, message: str) -> tuple[dict, bytes]:
-        obs_metrics.counter(f"serve.errors.{code}").inc()
-        return {"status": "error", "code": code, "error": message}, b""
+    _error = staticmethod(protocol.error_response)
 
     def describe(self) -> list[dict]:
         """One row per pinned alias target (the ``models`` op)."""

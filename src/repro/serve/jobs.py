@@ -54,10 +54,10 @@ import threading
 import time
 from dataclasses import asdict, dataclass, field
 
+from repro.atomic import atomic_write
 from repro.observability import events as obs_events
 from repro.observability import metrics as obs_metrics
 from repro.resilience.retry import RetryPolicy
-from repro.serve.registry import _write_atomic
 
 __all__ = ["JobError", "UnknownJob", "JobRecord", "JobStore",
            "JobSupervisor", "job_progress", "JOB_STATES",
@@ -246,7 +246,7 @@ class JobStore:
                                max_attempts=int(max_attempts),
                                faults=list(faults or []))
             os.makedirs(self.job_dir(job_id), exist_ok=True)
-            _write_atomic(self.data_path(job_id), bytes(data_bytes))
+            atomic_write(self.data_path(job_id), bytes(data_bytes))
             self._write(record)
         obs_metrics.counter("jobs.submitted").inc()
         obs_events.emit("jobs.submit",
@@ -264,8 +264,7 @@ class JobStore:
         return highest + 1
 
     def _write(self, record: JobRecord) -> None:
-        _write_atomic(self.record_path(record.job_id),
-                      record.to_json().encode("utf-8"))
+        atomic_write(self.record_path(record.job_id), record.to_json())
 
     def update(self, record: JobRecord) -> JobRecord:
         """Atomically persist ``record`` (tmp + fsync + replace)."""
@@ -565,18 +564,25 @@ class JobSupervisor:
         obs_metrics.counter("jobs.launched").inc()
 
     def _complete(self, record: JobRecord, result: dict) -> None:
-        record.state = "completed"
+        # Hot-load before persisting "completed": a client that sees the
+        # job completed can serve its model.  A failed hot-load does not
+        # fail the job -- the registry holds the published model either
+        # way -- but it is counted and emitted, never swallowed.
         record.result = dict(result)
-        record.error = None
-        self.store.update(record)
-        obs_metrics.counter("jobs.completed").inc()
         if self.on_publish is not None:
             try:
                 self.on_publish(record)
-            except Exception:
-                # Serving hot-load is best-effort; the registry holds
-                # the published model either way.
-                pass
+            except Exception as exc:
+                obs_metrics.counter("jobs.hot_load_failed").inc()
+                obs_events.emit("jobs.hot_load_failed",
+                                {"job_id": record.job_id,
+                                 "spec": record.result.get("spec")},
+                                volatile={"error": repr(exc)},
+                                transient=True)
+        record.state = "completed"
+        record.error = None
+        self.store.update(record)
+        obs_metrics.counter("jobs.completed").inc()
 
     def _close_log(self, job_id: str) -> None:
         log = self._logs.pop(job_id, None)

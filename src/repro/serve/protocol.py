@@ -44,9 +44,11 @@ import json
 import struct
 
 from repro.data.dataset import TimeSeriesDataset
+from repro.observability import metrics as obs_metrics
 
 __all__ = ["MAGIC", "VERSION", "MAX_HEADER_BYTES", "MAX_PAYLOAD_BYTES",
-           "ProtocolError", "write_message", "read_message",
+           "ProtocolError", "BadRequest", "write_message", "read_message",
+           "error_response", "parse_generate",
            "dataset_to_bytes", "dataset_from_bytes",
            "ERR_BUSY", "ERR_SHUTTING_DOWN", "ERR_MODEL_NOT_FOUND",
            "ERR_BAD_REQUEST", "ERR_INTERNAL", "ERR_JOB_NOT_FOUND",
@@ -76,6 +78,10 @@ ERR_CONNECTION = "connection"
 
 class ProtocolError(ValueError):
     """The byte stream does not follow the framing above."""
+
+
+class BadRequest(ValueError):
+    """A well-framed request whose arguments are invalid (``bad_request``)."""
 
 
 def write_message(wfile, header: dict, payload: bytes = b"") -> None:
@@ -139,6 +145,33 @@ def read_message(rfile) -> tuple[dict, bytes]:
     payload = _read_exact(rfile, payload_len, "payload") \
         if payload_len else b""
     return header, payload
+
+
+# -- requests and error responses --------------------------------------------
+
+def error_response(code: str, message: str) -> tuple[dict, bytes]:
+    """A well-formed error response; counts ``serve.errors.<code>``."""
+    obs_metrics.counter(f"serve.errors.{code}").inc()
+    return {"status": "error", "code": code, "error": message}, b""
+
+
+def parse_generate(header: dict, max_n: int) -> tuple[object, int, int]:
+    """Validate a ``generate`` header; returns ``(spec, n, seed)``.
+
+    Raises :class:`BadRequest` with the client-facing message when ``n``
+    is not a non-negative integer, exceeds ``max_n``, or ``seed`` is not
+    an integer.  The single server and the fleet router both call this,
+    so they reject the same requests with the same words.
+    """
+    n, seed = header.get("n"), header.get("seed", 0)
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise BadRequest(f"n must be a non-negative integer, got {n!r}")
+    if n > max_n:
+        raise BadRequest(f"n={n} exceeds the per-request cap of "
+                         f"{max_n}; split the request")
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise BadRequest(f"seed must be an integer, got {seed!r}")
+    return header.get("model"), n, seed
 
 
 # -- payload codecs ----------------------------------------------------------

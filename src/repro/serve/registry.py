@@ -42,6 +42,7 @@ import os
 import re
 from dataclasses import dataclass, field
 
+from repro.atomic import atomic_write
 from repro.observability import metrics as obs_metrics
 from repro.resilience.retry import RetryPolicy, retry_call
 
@@ -88,15 +89,6 @@ class ModelRecord:
     def spec(self) -> str:
         """The canonical ``name@version`` request string."""
         return f"{self.name}@{self.version}"
-
-
-def _write_atomic(path: str, data: bytes) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
 
 
 class ModelRegistry:
@@ -221,7 +213,7 @@ class ModelRegistry:
 
         blob_path = self._blob_path(sha256)
         if not os.path.exists(blob_path):
-            _write_atomic(blob_path, blob)
+            atomic_write(blob_path, blob)
         entry = {
             "version": (int(versions[-1]["version"]) + 1 if versions
                         else 1),
@@ -238,9 +230,8 @@ class ModelRegistry:
         return self._record(name, entry)
 
     def _write_manifest(self, name: str, manifest: dict) -> None:
-        _write_atomic(self._manifest_path(name),
-                      (json.dumps(manifest, sort_keys=True, indent=2)
-                       + "\n").encode("utf-8"))
+        atomic_write(self._manifest_path(name),
+                     json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
     def attach_scores(self, spec: str | ModelRecord,
                       scores: dict) -> ModelRecord:

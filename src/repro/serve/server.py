@@ -151,9 +151,7 @@ class GenerationService:
         self.add_model(spec, self.registry.load(spec))
 
     # -- dispatch ------------------------------------------------------------
-    def _error(self, code: str, message: str) -> tuple[dict, bytes]:
-        obs_metrics.counter(f"serve.errors.{code}").inc()
-        return {"status": "error", "code": code, "error": message}, b""
+    _error = staticmethod(protocol.error_response)
 
     def lookup(self, spec) -> MicroBatcher:
         """The batcher serving ``spec`` (aliases resolved)."""
@@ -217,19 +215,11 @@ class GenerationService:
                                f"models, generate, stats, submit, "
                                f"status, cancel, or jobs)")
 
-        spec = header.get("model")
-        n, seed = header.get("n"), header.get("seed", 0)
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            return self._error(protocol.ERR_BAD_REQUEST,
-                               f"n must be a non-negative integer, "
-                               f"got {n!r}")
-        if n > self.max_request_n:
-            return self._error(protocol.ERR_BAD_REQUEST,
-                               f"n={n} exceeds the per-request cap of "
-                               f"{self.max_request_n}; split the request")
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            return self._error(protocol.ERR_BAD_REQUEST,
-                               f"seed must be an integer, got {seed!r}")
+        try:
+            spec, n, seed = protocol.parse_generate(header,
+                                                    self.max_request_n)
+        except protocol.BadRequest as exc:
+            return self._error(protocol.ERR_BAD_REQUEST, str(exc))
         # lookup + submit retries: a lazily-loading service (the fleet's
         # ReplicaService) may evict-and-close the looked-up batcher from
         # another thread between lookup and submit; re-looking-up

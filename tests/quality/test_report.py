@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data.dataset import TimeSeriesDataset
+from repro.data.simulators import generate_gcut, generate_wwt
 from repro.quality import PropertyScore, QualityReport, clamp01
 
 
@@ -54,6 +55,27 @@ class TestScores:
     def test_schema_mismatch_raises(self, tiny_gcut, tiny_wwt):
         with pytest.raises(ValueError, match="schemas differ"):
             QualityReport(tiny_gcut, tiny_wwt)
+        with pytest.raises(ValueError, match="schemas differ"):
+            QualityReport(tiny_wwt, tiny_gcut)
+
+    def test_collapsed_generator_scores_low_on_diversity(self, tiny_wwt):
+        """One sample repeated is mode collapse (Figure 5)."""
+        collapsed = tiny_wwt[np.zeros(40, dtype=int)]
+        independent = generate_wwt(40, np.random.default_rng(55),
+                                   length=28, long_period=14)
+        scores = [QualityReport(tiny_wwt, synthetic, downstream=False)
+                  .property_scores()["diversity"]
+                  for synthetic in (collapsed, independent)]
+        assert scores[0] < scores[1]
+
+    def test_cross_correlation_needs_two_continuous_features(
+            self, tiny_gcut, tiny_wwt):
+        multi = QualityReport(tiny_gcut, tiny_gcut, downstream=False)
+        assert multi.property_scores()["cross_correlation"] == 1.0
+        single = QualityReport(tiny_wwt, tiny_wwt, downstream=False)
+        assert "cross_correlation" not in single.property_scores()
+        assert "cross_correlation" not in [s["name"]
+                                           for s in single.skipped]
 
     def test_holdout_enables_memorization(self, halves, tiny_gcut):
         real, synthetic = halves
@@ -65,14 +87,30 @@ class TestScores:
         assert "memorization" in with_holdout.property_scores()
 
     def test_memorizing_generator_scores_low(self, halves, tiny_gcut):
+        """A copy of the training set scores below real data the model
+        never saw: unseen holdout rows, or an independent simulator draw
+        (Figures 24-26)."""
         real, _ = halves
         holdout = tiny_gcut[np.arange(40, 80)]
         copied = QualityReport(real, real[np.arange(20)],
                                holdout=holdout, downstream=False)
-        fresh = QualityReport(real, tiny_gcut[np.arange(60, 80)],
-                              holdout=holdout, downstream=False)
-        assert copied.property_scores()["memorization"] < \
-            fresh.property_scores()["memorization"]
+        independent = generate_gcut(20, np.random.default_rng(55),
+                                    max_length=tiny_gcut.schema.max_length)
+        for fresh_data in (tiny_gcut[np.arange(60, 80)], independent):
+            fresh = QualityReport(real, fresh_data,
+                                  holdout=holdout, downstream=False)
+            assert copied.property_scores()["memorization"] < \
+                fresh.property_scores()["memorization"]
+
+    def test_scores_generated_data(self, trained_dg_gcut, tiny_gcut):
+        synthetic = trained_dg_gcut.generate(
+            40, rng=np.random.default_rng(0))
+        report = QualityReport(tiny_gcut, synthetic, downstream=False)
+        details = {p.name: p.details for p in report.properties}
+        assert "end_event_type" in \
+            details["attribute_marginals"]["per_attribute"]
+        for prop in report.properties:
+            assert 0.0 <= prop.score <= 1.0, prop.name
 
     def test_downstream_property_when_enabled(self, halves):
         real, synthetic = halves
@@ -85,6 +123,7 @@ class TestScores:
     def test_overall_empty_is_zero(self):
         report = QualityReport.from_dict({"seed": 0})
         assert report.overall == 0.0
+        assert report.render_markdown().startswith("# Quality report")
 
 
 class TestCanonicalExports:

@@ -154,3 +154,66 @@ class TestJobProgress:
         assert progress["g_loss"] == 1.2
         assert progress["rollbacks"] == 1
         assert progress["resumed_from"] == 6
+
+
+class TestCompletion:
+    """The supervisor hot-loads a finished job before it reports it
+    ``completed``, and a failed hot-load is counted and emitted."""
+
+    RECEIPT = {"spec": "m@1", "name": "m", "version": 1,
+               "sha256": "0" * 64, "nbytes": 1,
+               "backend": "doppelganger"}
+
+    def _finished(self, store):
+        """A job whose worker wrote its receipt but was never reaped."""
+        record = _create(store)
+        record.state = "running"
+        record.attempts = 1
+        store.update(record)
+        with open(store.result_path(record.job_id), "w",
+                  encoding="utf-8") as fh:
+            json.dump(self.RECEIPT, fh)
+        return record
+
+    def test_hot_load_runs_before_completed_is_persisted(self, store,
+                                                         tmp_path):
+        from repro.serve.jobs import JobSupervisor
+        record = self._finished(store)
+        seen = []
+
+        def on_publish(published):
+            seen.append((store.get(published.job_id).state,
+                         published.result["spec"]))
+
+        supervisor = JobSupervisor(store, tmp_path / "registry",
+                                   on_publish=on_publish)
+        supervisor.recover()
+        assert seen == [("running", "m@1")]
+        final = store.get(record.job_id)
+        assert final.state == "completed"
+        assert final.result == self.RECEIPT
+
+    def test_failed_hot_load_is_counted_and_emitted(self, store,
+                                                    tmp_path):
+        from repro.observability import events as obs_events
+        from repro.observability import metrics as obs_metrics
+        from repro.serve.jobs import JobSupervisor
+        record = self._finished(store)
+
+        def on_publish(published):
+            raise RuntimeError("model load failed")
+
+        supervisor = JobSupervisor(store, tmp_path / "registry",
+                                   on_publish=on_publish)
+        registry = obs_metrics.MetricsRegistry()
+        with obs_metrics.use(registry), \
+                obs_events.EventLog(tmp_path / "events.jsonl") as log, \
+                obs_events.capture(log):
+            supervisor.recover()
+        assert registry.dump()["counters"]["jobs.hot_load_failed"] == 1
+        failed = [e for e in log.events if e.kind == "jobs.hot_load_failed"]
+        assert [e.payload for e in failed] == [
+            {"job_id": record.job_id, "spec": "m@1"}]
+        assert "model load failed" in failed[0].volatile["error"]
+        # The registry holds the model either way: the job completes.
+        assert store.get(record.job_id).state == "completed"
