@@ -12,6 +12,10 @@ TINY models, exercising every contract docs/serving.md promises for
    retry), and the supervisor must respawn the victim.
 3. **Graceful close** -- the fleet drains and its replica processes all
    exit.
+4. **One front door at the CLI** -- ``serve --replicas 2 --jobs-dir``
+   takes a training job, hot-serves its published model through the
+   replicas, and the served bytes equal ``registry.load(spec)``'s
+   direct generation.
 
 Exits non-zero on any violation.  Run::
 
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import os
 import signal
+import subprocess
 import sys
 import tempfile
 import threading
@@ -29,7 +34,9 @@ import time
 
 import numpy as np
 
-from repro.serve import Fleet, ModelRegistry, ServeClient, Server
+from repro.data.simulators import generate_gcut
+from repro.serve import (GenerationService, ModelRegistry, ServeClient,
+                         Server)
 from repro.serve.bench import train_tiny_model
 from repro.serve.protocol import dataset_to_bytes
 
@@ -81,8 +88,8 @@ def main() -> None:
             record = registry.publish(name, model)
             print(f"[fleet_smoke] published {record.spec} "
                   f"(sha256 {record.sha256[:12]}...)")
-        fleet = Fleet(registry, replicas=3, model_cache=2,
-                      request_timeout=60.0)
+        fleet = GenerationService.from_registry(
+            registry, replicas=3, model_cache=2, request_timeout=60.0)
         with Server(fleet) as server:
             host, port = server.address
             with ServeClient(host, port, timeout=120) as client:
@@ -132,7 +139,64 @@ def main() -> None:
         else:
             fail(f"replica processes survived close: {live}")
         print("[fleet_smoke] close: all replica processes exited")
+    cli_jobs_step()
     print("[fleet_smoke] OK")
+
+
+def _cli(*args: str, **kwargs) -> subprocess.Popen:
+    env = dict(os.environ)
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..",
+                                       "src"))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen([sys.executable, "-m", "repro.cli", *args],
+                            env=env, **kwargs)
+
+
+def cli_jobs_step() -> None:
+    """``serve --replicas 2 --jobs-dir``: submit, complete, hot-serve."""
+    with tempfile.TemporaryDirectory() as root:
+        paths = {name: os.path.join(root, name) for name in
+                 ("reg", "jobs", "port", "stop", "data.npz")}
+        generate_gcut(30, np.random.default_rng(0),
+                      max_length=12).save(paths["data.npz"])
+        server = _cli("serve", "--registry", paths["reg"],
+                      "--replicas", "2", "--jobs-dir", paths["jobs"],
+                      "--port", "0", "--port-file", paths["port"],
+                      "--stop-file", paths["stop"])
+        try:
+            deadline = time.monotonic() + 120
+            while not os.path.exists(paths["port"]):
+                if server.poll() is not None or time.monotonic() > deadline:
+                    fail("serve --replicas 2 --jobs-dir never listened")
+                time.sleep(0.1)
+            with open(paths["port"], encoding="utf-8") as fh:
+                port = fh.read().strip()
+            submit = _cli("jobs", "submit", "--port", port,
+                          "--data", paths["data.npz"], "--name", "smoke",
+                          "--backend", "hmm", "--iterations", "5",
+                          "--batch-size", "8", "--hidden", "8",
+                          "--seed", "3", "--watch")
+            if submit.wait(timeout=300) != 0:
+                fail("CLI job on the fleet did not complete")
+            with ServeClient("127.0.0.1", int(port), timeout=120) as client:
+                served = client.generate("smoke", 9, seed=5)
+                routed = client.fleet_status()["totals"]["routed"]
+            direct = ModelRegistry(paths["reg"]).load("smoke@1").generate(
+                9, rng=np.random.default_rng(5))
+            if dataset_to_bytes(served) != dataset_to_bytes(direct):
+                fail("job-published model served through the fleet is "
+                     "not byte-identical to registry.load(spec)")
+            if routed < 1:
+                fail("the generate did not go through the replicas")
+            print("[fleet_smoke] cli: serve --replicas 2 --jobs-dir "
+                  "completed a job and hot-served it byte-identically")
+        finally:
+            open(paths["stop"], "w").close()
+            try:
+                server.wait(timeout=60)
+            except subprocess.TimeoutExpired:
+                server.kill()
+                server.wait()
 
 
 if __name__ == "__main__":

@@ -306,14 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
                           "byte-identical output; docs/serving.md)")
     srv.add_argument("--model-cache", type=int, default=4,
                      help="models each replica holds hot in its LRU "
-                          "cache (fleet mode)")
+                          "cache (with --replicas)")
     srv.add_argument("--quota-rps", type=float, default=None,
-                     help="per-client token-bucket rate limit in "
-                          "requests/second (fleet mode; default: no "
+                     help="per-client token-bucket rate limit on "
+                          "generate, in requests/second (default: no "
                           "quotas)")
     srv.add_argument("--quota-burst", type=int, default=None,
-                     help="token-bucket depth (fleet mode; default: "
-                          "--quota-rps rounded down, at least 1)")
+                     help="token-bucket depth (default: --quota-rps "
+                          "rounded down, at least 1)")
     srv.add_argument("--jobs-dir", default=None, metavar="DIR",
                      help="enable training-as-a-service: durable job "
                           "records live here; finished models are "
@@ -360,8 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "terminal state (submit/status)")
 
     fst = sub.add_parser("fleet-status",
-                         help="inspect a running fleet router: replica "
-                              "health, routing totals, aliases, quotas")
+                         help="inspect a running server: replica "
+                              "health and routing totals (with "
+                              "--replicas), aliases, quotas")
     fst.add_argument("--host", default="127.0.0.1")
     fst.add_argument("--port", type=int, required=True)
     fst.add_argument("--timeout", type=float, default=10.0)
@@ -778,46 +779,30 @@ def _cmd_jobs(args) -> int:
 def _cmd_serve(args) -> int:
     import time
 
-    from repro.serve import (Fleet, GenerationService, ModelRegistry,
-                             Server)
+    from repro.serve import GenerationService, ModelRegistry, Server
     from repro.serve.registry import RegistryError
 
-    if args.replicas and args.replicas > 0:
-        if args.jobs_dir:
-            raise _CliError(
-                "--replicas and --jobs-dir are mutually exclusive: the "
-                "fleet router does not orchestrate training jobs; run "
-                "a separate single server with --jobs-dir")
-        if args.models:
-            raise _CliError(
-                "--replicas serves the whole registry (replicas "
-                "lazy-load any published name@version); drop --models")
-        try:
-            registry = ModelRegistry(args.registry)
-            service = Fleet(registry, replicas=args.replicas,
-                            model_cache=args.model_cache,
-                            quota_rps=args.quota_rps,
-                            quota_burst=args.quota_burst,
-                            max_batch_rows=args.batch_rows,
-                            max_wait_ms=args.batch_wait_ms,
-                            max_queue_rows=args.queue_rows)
-        except RegistryError as exc:
-            raise _CliError(str(exc)) from None
+    if args.replicas > 0 and args.models:
+        raise _CliError(
+            "--replicas serves the whole registry (replicas "
+            "lazy-load any published name@version); drop --models")
+    try:
+        service = GenerationService.from_registry(
+            ModelRegistry(args.registry), specs=args.models or None,
+            allow_empty=bool(args.jobs_dir or args.replicas > 0),
+            replicas=args.replicas,
+            model_cache=args.model_cache if args.replicas > 0 else 0,
+            quota_rps=args.quota_rps, quota_burst=args.quota_burst,
+            max_batch_rows=args.batch_rows,
+            max_wait_ms=args.batch_wait_ms,
+            max_queue_rows=args.queue_rows)
+    except RegistryError as exc:
+        raise _CliError(str(exc)) from None
+    if args.replicas > 0:
         print(f"fleet of {args.replicas} replicas "
-              f"(model cache: {args.model_cache}/replica"
-              + (f", quota: {args.quota_rps:g} req/s per client"
-                 if args.quota_rps else "") + ")")
-    else:
-        try:
-            registry = ModelRegistry(args.registry)
-            service = GenerationService.from_registry(
-                registry, specs=args.models or None,
-                allow_empty=bool(args.jobs_dir),
-                max_batch_rows=args.batch_rows,
-                max_wait_ms=args.batch_wait_ms,
-                max_queue_rows=args.queue_rows)
-        except RegistryError as exc:
-            raise _CliError(str(exc)) from None
+              f"(model cache: {args.model_cache}/replica)")
+    if args.quota_rps:
+        print(f"quota: {args.quota_rps:g} req/s per client")
 
     supervisor = None
     if args.jobs_dir:
@@ -846,9 +831,9 @@ def _cmd_serve(args) -> int:
         telemetry.__enter__()
     server = Server(service, host=args.host, port=args.port)
     host, port = server.address
-    for row in service.describe():
-        tag = "" if row.get("deterministic", True) else \
-            "  [non-deterministic batch-rows override]"
+    for row in service.cache.describe():
+        tag = "  [non-deterministic batch-rows override]" \
+            if row["deterministic"] is False else ""
         print(f"serving {row['spec']} "
               f"(aliases: {', '.join(row['aliases']) or '-'}){tag}")
     print(f"listening on {host}:{port}")

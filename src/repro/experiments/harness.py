@@ -18,12 +18,12 @@ from __future__ import annotations
 import os
 import sys
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.experiments.configs import BENCH, BenchScale, make_dataset
+from repro.lru import LRUCache
 from repro.nn import profiler as nn_profiler
 from repro.resilience.failures import FailureRecord
 from repro.resilience.faults import SimulatedKill
@@ -43,51 +43,6 @@ MODEL_NAMES = {
     "hmm": "HMM",
     "naive_gan": "Naive GAN",
 }
-
-
-class LRUCache:
-    """A small bounded mapping with least-recently-used eviction.
-
-    Reads refresh recency; inserting past ``maxsize`` evicts the coldest
-    entry.  This bounds the harness's memory during long sweeps where
-    hundreds of (dataset, model, overrides) keys would otherwise pile up.
-    """
-
-    def __init__(self, maxsize: int):
-        if maxsize < 1:
-            raise ValueError("maxsize must be >= 1")
-        self.maxsize = maxsize
-        self._data: OrderedDict = OrderedDict()
-
-    def __contains__(self, key) -> bool:
-        return key in self._data
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __getitem__(self, key):
-        value = self._data[key]
-        self._data.move_to_end(key)
-        return value
-
-    def __setitem__(self, key, value) -> None:
-        self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
-
-    def keys(self):
-        return list(self._data.keys())
-
-    def clear(self) -> None:
-        self._data.clear()
-
-    def set_maxsize(self, maxsize: int) -> None:
-        if maxsize < 1:
-            raise ValueError("maxsize must be >= 1")
-        self.maxsize = maxsize
-        while len(self._data) > maxsize:
-            self._data.popitem(last=False)
 
 
 _DATASETS = LRUCache(8)

@@ -113,7 +113,6 @@ def _measure_fleet(model, *, replica_counts, concurrency: int,
     """
     import tempfile
 
-    from repro.serve.fleet import Fleet
     from repro.serve.registry import ModelRegistry
 
     rows = []
@@ -123,9 +122,10 @@ def _measure_fleet(model, *, replica_counts, concurrency: int,
         seed_check = 20200902
         direct = model.generate(n, rng=np.random.default_rng(seed_check))
         for replicas in replica_counts:
-            fleet = Fleet(registry, replicas=replicas, model_cache=2,
-                          max_wait_ms=max_wait_ms,
-                          max_queue_rows=1 << 20)
+            fleet = GenerationService(registry=registry,
+                                      replicas=replicas, model_cache=2,
+                                      max_wait_ms=max_wait_ms,
+                                      max_queue_rows=1 << 20)
             try:
                 with Server(fleet) as server:
                     host, port = server.address

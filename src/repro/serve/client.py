@@ -53,7 +53,7 @@ class ServerBusy(ServeError):
 
 
 class RateLimited(ServeError):
-    """The fleet router shed the request: client quota exhausted."""
+    """The server shed the request: client quota exhausted."""
 
 
 def _result_dataset(header: dict, payload: bytes) -> TimeSeriesDataset:
@@ -111,9 +111,8 @@ class _ClientOps:
                  client: str | None = None) -> TimeSeriesDataset:
         """Request ``n`` objects from ``model``; deterministic in seed.
 
-        ``client`` is the quota identity a fleet router bills the
-        request to (ignored by single servers; unset shares the
-        ``anonymous`` bucket).
+        ``client`` is the quota identity the server bills the request
+        to (``--quota-rps``; unset shares the ``anonymous`` bucket).
         """
         header = {"op": "generate", "model": model,
                   "n": int(n), "seed": int(seed)}
@@ -124,19 +123,20 @@ class _ClientOps:
 
     # -- fleet ---------------------------------------------------------------
     def stats(self) -> dict:
-        """Server-side counters: cache/metrics on a single server, the
-        fleet digest on a router (both under the returned dict)."""
+        """Server-side digest: ``models``, ``cache``, ``fleet`` and, with
+        a metrics scope, ``metrics`` -- one schema for every server."""
         header = self._ok(self._call({"op": "stats"})[0])
         return {key: value for key, value in header.items()
                 if key != "status"}
 
     def fleet_status(self) -> dict:
-        """Replica health, routing totals, aliases, quota config."""
+        """Replica health, routing totals, aliases, quota config (an
+        empty replica list on a server without replicas)."""
         return self._ok(self._call({"op": "fleet_status"})[0])["fleet"]
 
     def reload_models(self) -> dict:
-        """Ask a fleet router to re-pin ``@latest`` aliases; returns the
-        new alias map (the zero-downtime upgrade flip)."""
+        """Ask the server to pin the newest published versions; returns
+        the new alias map (the zero-downtime ``@latest`` flip)."""
         return self._ok(self._call({"op": "reload"})[0])["aliases"]
 
     # -- training jobs -------------------------------------------------------

@@ -478,10 +478,13 @@ class JobSupervisor:
         while not self._stop.is_set():
             try:
                 self.tick()
-            except Exception:
-                # The supervisor must outlive any single bad record;
-                # errors surface on the affected job, not the loop.
-                pass
+            except Exception as exc:
+                # The supervisor must outlive any single bad round, but
+                # a failed round is counted and emitted, never silent.
+                obs_metrics.counter("jobs.tick_failed").inc()
+                obs_events.emit("jobs.tick_failed",
+                                volatile={"error": repr(exc)},
+                                transient=True)
             self._stop.wait(self.poll_interval)
 
     def tick(self, now: float | None = None) -> None:
@@ -567,20 +570,25 @@ class JobSupervisor:
         # Hot-load before persisting "completed": a client that sees the
         # job completed can serve its model.  A failed hot-load does not
         # fail the job -- the registry holds the published model either
-        # way -- but it is counted and emitted, never swallowed.
+        # way -- but it is counted, emitted and left on the record's
+        # error, so ``status`` and ``jobs`` show it.
         record.result = dict(result)
+        record.error = None
         if self.on_publish is not None:
             try:
                 self.on_publish(record)
             except Exception as exc:
+                spec = record.result.get("spec")
+                record.error = (f"published {spec} but hot-loading it "
+                                f"into serving failed: {exc!r}; send "
+                                f"reload or restart the server to "
+                                f"serve it")
                 obs_metrics.counter("jobs.hot_load_failed").inc()
                 obs_events.emit("jobs.hot_load_failed",
-                                {"job_id": record.job_id,
-                                 "spec": record.result.get("spec")},
+                                {"job_id": record.job_id, "spec": spec},
                                 volatile={"error": repr(exc)},
                                 transient=True)
         record.state = "completed"
-        record.error = None
         self.store.update(record)
         obs_metrics.counter("jobs.completed").inc()
 

@@ -23,8 +23,8 @@ clients surface the error.  Error *responses* are well-formed frames with
 - ``model_not_found`` -- unknown model spec.
 - ``job_not_found`` -- unknown job id (``status``/``cancel``).
 - ``jobs_disabled`` -- the server was started without a job store.
-- ``rate_limited`` -- the client's token bucket is empty; the fleet
-  router shed the request before routing it (quota, not capacity).
+- ``rate_limited`` -- the client's token bucket is empty; the server
+  shed the request before running it (quota, not capacity).
 - ``bad_request`` -- malformed op/arguments.
 - ``internal`` -- unexpected server-side failure.
 
@@ -160,8 +160,8 @@ def parse_generate(header: dict, max_n: int) -> tuple[object, int, int]:
 
     Raises :class:`BadRequest` with the client-facing message when ``n``
     is not a non-negative integer, exceeds ``max_n``, or ``seed`` is not
-    an integer.  The single server and the fleet router both call this,
-    so they reject the same requests with the same words.
+    an integer.  ``GenerationService.handle`` -- the one dispatcher,
+    single server or fleet router alike -- calls this.
     """
     n, seed = header.get("n"), header.get("seed", 0)
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:

@@ -14,8 +14,8 @@ import pytest
 
 from repro.core import DoppelGANger
 from repro.resilience.retry import RetryPolicy
-from repro.serve import (Fleet, ModelRegistry, ServeClient, ServeError,
-                         Server)
+from repro.serve import (GenerationService, ModelRegistry, ServeClient,
+                         ServeError, Server)
 from repro.serve.fleet import route_index
 from tests.conftest import tiny_dg_config
 from tests.serve.conftest import assert_datasets_identical
@@ -54,8 +54,9 @@ def test_kill_routed_replica_retries_byte_identically(chaos_world):
     """Kill exactly the replica a request routes to; the reply must
     still arrive and still be byte-identical to direct generation."""
     registry, model = chaos_world
-    with Fleet(registry, replicas=3, model_cache=2,
-               request_timeout=30.0) as fleet:
+    with GenerationService.from_registry(
+            registry, replicas=3, model_cache=2,
+            request_timeout=30.0) as fleet:
         with Server(fleet) as server:
             with ServeClient(*server.address, timeout=120) as client:
                 # Warm every replica so each holds open state.
@@ -85,8 +86,9 @@ def test_kill_mid_request_is_invisible_to_the_client(chaos_world):
     """SIGKILL the serving replica while a request is in flight: the
     router retries it on a healthy replica before replying."""
     registry, model = chaos_world
-    with Fleet(registry, replicas=2, model_cache=2,
-               request_timeout=30.0) as fleet:
+    with GenerationService.from_registry(
+            registry, replicas=2, model_cache=2,
+            request_timeout=30.0) as fleet:
         with Server(fleet) as server:
             with ServeClient(*server.address, timeout=120) as client:
                 for seed in range(4):
@@ -117,8 +119,9 @@ def test_total_outage_surfaces_structured_errors_only(chaos_world):
     registry, model = chaos_world
     slow = RetryPolicy(max_attempts=2, base_delay=0.05, multiplier=2.0,
                        max_delay=0.1)
-    with Fleet(registry, replicas=2, model_cache=2,
-               request_timeout=5.0, respawn_policy=slow) as fleet:
+    with GenerationService.from_registry(
+            registry, replicas=2, model_cache=2,
+            request_timeout=5.0, respawn_policy=slow) as fleet:
         with Server(fleet) as server:
             with ServeClient(*server.address, timeout=120) as client:
                 client.generate("wwt", 4, seed=0)

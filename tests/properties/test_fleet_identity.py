@@ -19,7 +19,8 @@ import pytest
 
 from repro.core import DoppelGANger
 from repro.nn.kernels import fused_kernels
-from repro.serve import Fleet, ModelRegistry, ServeClient, Server
+from repro.serve import (GenerationService, ModelRegistry, ServeClient,
+                         Server)
 from tests.conftest import tiny_dg_config
 from tests.serve.conftest import assert_datasets_identical
 
@@ -63,8 +64,9 @@ REQUESTS = [("wwt", 5, 0), ("wwt@latest", 9, 1), ("wwt@1", 16, 2),
 @pytest.mark.parametrize("replicas", [1, 2, 4])
 def test_fleet_identity_per_replica_count(fleet_world, replicas):
     """Every reply equals direct generation, at any replica count."""
-    with Fleet(fleet_world.registry, replicas=replicas,
-               model_cache=2) as fleet:
+    with GenerationService.from_registry(fleet_world.registry,
+                                         replicas=replicas,
+                                         model_cache=2) as fleet:
         with Server(fleet) as server:
             host, port = server.address
             with ServeClient(host, port, timeout=120) as client:
@@ -76,7 +78,8 @@ def test_fleet_identity_per_replica_count(fleet_world, replicas):
 
 def test_fleet_identity_across_interleavings(fleet_world):
     """Request order and concurrency never change any response."""
-    with Fleet(fleet_world.registry, replicas=2, model_cache=2) as fleet:
+    with GenerationService.from_registry(fleet_world.registry, replicas=2,
+                                         model_cache=2) as fleet:
         with Server(fleet) as server:
             host, port = server.address
             # Sequential, in three deterministically shuffled orders.
@@ -111,7 +114,8 @@ def test_fleet_identity_across_interleavings(fleet_world):
 def test_fleet_identity_across_latest_flip(fleet_world):
     """A mid-run ``@latest`` upgrade flips new requests to v2 bytes while
     pinned ``@1`` requests keep returning v1 bytes -- zero downtime."""
-    with Fleet(fleet_world.registry, replicas=2, model_cache=2) as fleet:
+    with GenerationService.from_registry(fleet_world.registry, replicas=2,
+                                         model_cache=2) as fleet:
         with Server(fleet) as server:
             host, port = server.address
             with ServeClient(host, port, timeout=120) as client:

@@ -1,14 +1,22 @@
-"""Router unit tests: deterministic routing, token-bucket quotas, the
-fleet ops (fleet_status/reload/models), and error-code mapping -- all
-without training a model (replicas lazy-load, so a registry of unloaded
-blobs is enough to exercise the router itself).
+"""Fleet-backed service tests: deterministic routing, token-bucket
+quotas, the introspection ops (fleet_status/reload/models), error-code
+mapping and job verbs -- mostly without training a model (replicas
+lazy-load, so a registry of unloaded blobs is enough to exercise the
+front door and the router).
 """
 
+import time
+
+import numpy as np
 import pytest
 
-from repro.serve import (Fleet, ModelRegistry, RateLimited, ServeError,
-                         Server, ServeClient)
-from repro.serve.fleet import ClientQuotas, TokenBucket, route_index
+from repro.data.simulators import generate_gcut
+from repro.serve import (GenerationService, InProcessClient, JobStore,
+                         JobSupervisor, ModelRegistry, RateLimited,
+                         ServeError, Server, ServeClient)
+from repro.serve.fleet import route_index
+from repro.serve.server import ClientQuotas, TokenBucket
+from tests.serve.conftest import assert_datasets_identical
 
 
 # -- routing -----------------------------------------------------------------
@@ -87,7 +95,8 @@ def junk_registry(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def fleet(junk_registry):
-    with Fleet(junk_registry, replicas=1, model_cache=1) as fleet:
+    with GenerationService.from_registry(junk_registry, replicas=1,
+                                         model_cache=1) as fleet:
         yield fleet
 
 
@@ -107,16 +116,17 @@ def test_fleet_status_shape(fleet):
 def test_reload_repins_aliases(tmp_path):
     registry = ModelRegistry(tmp_path / "reg")
     registry.publish("m", b"not-a-model-v1")
-    with Fleet(registry, replicas=1, model_cache=1) as fleet:
-        assert fleet._canonical_spec("m@latest") == "m@1"
+    with GenerationService.from_registry(registry, replicas=1,
+                                         model_cache=1) as fleet:
+        assert fleet.cache.resolve("m@latest") == "m@1"
         registry.publish("m", b"not-a-model-v2")
         # Publishing alone never moves a pinned alias...
-        assert fleet._canonical_spec("m@latest") == "m@1"
+        assert fleet.cache.resolve("m@latest") == "m@1"
         # ...reload is the explicit flip.
         aliases = fleet.reload()
         assert aliases == {"m": "m@2", "m@latest": "m@2"}
-        assert fleet._canonical_spec("m@latest") == "m@2"
-        assert fleet._canonical_spec("m@1") == "m@1"
+        assert fleet.cache.resolve("m@latest") == "m@2"
+        assert fleet.cache.resolve("m@1") == "m@1"
 
 
 def test_request_validation_mirrors_single_server(fleet):
@@ -134,10 +144,37 @@ def test_request_validation_mirrors_single_server(fleet):
     assert header["code"] == "model_not_found"
 
 
-def test_job_ops_are_refused(fleet):
-    for op in ("submit", "status", "cancel", "jobs"):
-        header, _ = fleet.handle({"op": op, "job_id": "j1"})
-        assert header["code"] == "jobs_disabled"
+def test_fleet_with_supervisor_hot_serves_job_model(tmp_path):
+    """Job verbs work on a fleet-backed service: the job's model is
+    pinned on completion and served through the replicas."""
+    data = generate_gcut(30, np.random.default_rng(0), max_length=12)
+    registry = ModelRegistry(tmp_path / "registry")
+    supervisor = JobSupervisor(JobStore(tmp_path / "jobs"),
+                               tmp_path / "registry", poll_interval=0.02)
+    with GenerationService.from_registry(registry, allow_empty=True,
+                                         replicas=1,
+                                         model_cache=1) as fleet:
+        fleet.attach_jobs(supervisor)
+        client = InProcessClient(fleet)
+        with supervisor:
+            job = client.submit_job("smoke", data, backend="hmm",
+                                    train={"iterations": 5,
+                                           "batch_size": 8,
+                                           "hidden": 8, "seed": 3})
+            deadline = time.monotonic() + 60
+            while job["state"] not in ("completed", "failed",
+                                       "cancelled"):
+                assert time.monotonic() < deadline, job
+                time.sleep(0.05)
+                job = client.job_status(job["job_id"])
+        assert job["state"] == "completed", job["error"]
+        assert job["error"] is None
+        assert fleet.aliases["smoke"] == "smoke@1"
+        assert_datasets_identical(
+            client.generate("smoke", 6, seed=4),
+            registry.load("smoke@1").generate(
+                6, rng=np.random.default_rng(4)))
+        assert fleet.fleet_status()["totals"]["routed"] == 1
 
 
 def test_unknown_op_is_bad_request(fleet):
@@ -150,8 +187,9 @@ def test_rate_limited_end_to_end(junk_registry):
     """Quota denial maps to the rate_limited code at the router and to
     the RateLimited exception at the socket client."""
     clock = FakeClock()
-    with Fleet(junk_registry, replicas=1, model_cache=1, quota_rps=1.0,
-               quota_burst=2, clock=clock) as fleet:
+    with GenerationService.from_registry(
+            junk_registry, replicas=1, model_cache=1, quota_rps=1.0,
+            quota_burst=2, clock=clock) as fleet:
         # Direct dispatch: two admitted (model_not_found is *after* the
         # quota gate proves they were admitted), third shed.
         for _ in range(2):

@@ -215,5 +215,42 @@ class TestCompletion:
         assert [e.payload for e in failed] == [
             {"job_id": record.job_id, "spec": "m@1"}]
         assert "model load failed" in failed[0].volatile["error"]
-        # The registry holds the model either way: the job completes.
-        assert store.get(record.job_id).state == "completed"
+        # The registry holds the model either way: the job completes,
+        # and its record says the hot-load failed.
+        final = store.get(record.job_id)
+        assert final.state == "completed"
+        assert "m@1" in final.error and "hot-loading" in final.error
+        assert "model load failed" in final.error
+        assert supervisor.status(record.job_id)["error"] == final.error
+
+
+class TestSupervisorLoop:
+    def test_failed_tick_is_counted_emitted_and_survived(self, store,
+                                                         tmp_path):
+        """One raising ``tick`` bumps ``jobs.tick_failed`` and emits an
+        event; the loop keeps ticking (driven synchronously, no timing)."""
+        from repro.observability import events as obs_events
+        from repro.observability import metrics as obs_metrics
+        from repro.serve.jobs import JobSupervisor
+        supervisor = JobSupervisor(store, tmp_path / "registry",
+                                   poll_interval=0.0)
+        calls = []
+
+        def tick(now=None):
+            calls.append(now)
+            if len(calls) == 1:
+                raise RuntimeError("bad round")
+            if len(calls) == 3:
+                supervisor._stop.set()
+
+        supervisor.tick = tick
+        registry = obs_metrics.MetricsRegistry()
+        with obs_metrics.use(registry), \
+                obs_events.EventLog(tmp_path / "events.jsonl") as log, \
+                obs_events.capture(log):
+            supervisor._run()
+        assert len(calls) == 3
+        assert registry.dump()["counters"]["jobs.tick_failed"] == 1
+        failed = [e for e in log.events if e.kind == "jobs.tick_failed"]
+        assert len(failed) == 1 and failed[0].transient
+        assert "bad round" in failed[0].volatile["error"]

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from repro.observability import metrics as obs_metrics
-from repro.serve import InProcessClient, ModelRegistry
-from repro.serve.fleet import ModelCache, ReplicaService
+from repro.serve import (GenerationService, InProcessClient, ModelCache,
+                         ModelRegistry)
 from tests.serve.conftest import assert_datasets_identical
 
 
@@ -76,7 +76,7 @@ def test_replica_service_serves_through_the_cache(registry,
                                                   trained_dg_gcut):
     """The full service path (validation, dispatch, error mapping)
     works over lazy cache loads, and the stats op exposes the cache."""
-    service = ReplicaService(registry, model_cache=2)
+    service = GenerationService(registry=registry, model_cache=2)
     client = InProcessClient(service)
     direct = trained_dg_gcut.generate(5, rng=np.random.default_rng(8))
     try:
@@ -100,7 +100,7 @@ def test_eviction_race_is_retried_inside_handle(registry,
                                                 trained_dg_gcut):
     """A batcher evicted between lookup and submit surfaces as a
     reload, not an error: force it by closing the looked-up batcher."""
-    service = ReplicaService(registry, model_cache=2)
+    service = GenerationService(registry=registry, model_cache=2)
     client = InProcessClient(service)
     direct = trained_dg_gcut.generate(4, rng=np.random.default_rng(2))
     try:
@@ -112,5 +112,31 @@ def test_eviction_race_is_retried_inside_handle(registry,
             del service.cache._entries["alpha@1"]
         assert_datasets_identical(client.generate("alpha@1", 4, seed=2),
                                   direct)
+    finally:
+        service.close()
+
+
+@pytest.mark.parametrize("model_cache", [0, 2])
+def test_warm_generates_read_no_manifest(registry, monkeypatch,
+                                         model_cache):
+    """Once a spec is pinned or cached, generate is served from memory:
+    N warm requests -- canonical and alias forms -- never re-read the
+    registry manifest (``model_cache=2`` is a fleet replica's table)."""
+    service = GenerationService.from_registry(registry,
+                                              model_cache=model_cache)
+    client = InProcessClient(service)
+    reads = []
+    original = ModelRegistry._read_manifest
+    specs = ("alpha@1", "alpha", "beta@latest")
+    try:
+        for spec in specs:  # warm-up: a cache miss loads the model
+            client.generate(spec, 2, seed=0)
+        monkeypatch.setattr(
+            ModelRegistry, "_read_manifest",
+            lambda self, name: reads.append(name) or original(self, name))
+        for seed in range(5):
+            for spec in specs:
+                client.generate(spec, 2, seed=seed)
+        assert reads == []
     finally:
         service.close()

@@ -1,6 +1,8 @@
 """Protocol fuzzing: hostile bytes against a bare ``Server`` and a fleet
 router never hang a listener, never crash it, and never produce anything
-but a structured error frame or a dropped connection.
+but a structured error frame or a dropped connection.  Both targets are
+the same front door, so they also answer the introspection ops with the
+same schema.
 
 The corpus is derived deterministically from a seeded rng plus
 systematic mutations of one known-good frame (every truncation point,
@@ -15,8 +17,8 @@ import struct
 import numpy as np
 import pytest
 
-from repro.serve import (Fleet, GenerationService, ModelRegistry,
-                         ServeClient, Server)
+from repro.serve import (GenerationService, ModelRegistry, ServeClient,
+                         Server)
 from repro.serve import protocol
 
 _PREFIX = struct.Struct(">4sBIQ")
@@ -107,7 +109,7 @@ def bare_server():
 @pytest.fixture(scope="module")
 def fleet_server(tmp_path_factory):
     registry = ModelRegistry(tmp_path_factory.mktemp("fuzz-reg"))
-    fleet = Fleet(registry, replicas=1, model_cache=1)
+    fleet = GenerationService(registry=registry, replicas=1, model_cache=1)
     server = Server(fleet)
     yield server.address
     server.shutdown(drain=True)
@@ -144,6 +146,26 @@ def test_unknown_ops_get_structured_errors(target, bare_server,
             assert payload == b""
     with ServeClient(*address, timeout=10) as client:
         assert client.ping()
+
+
+@pytest.mark.parametrize("target", ["bare", "fleet"])
+def test_introspection_ops_share_one_schema(target, bare_server,
+                                            fleet_server):
+    """One dispatcher: ``models``/``stats`` key sets and the ``reload``
+    response are the same whether or not replicas sit behind it."""
+    address = bare_server if target == "bare" else fleet_server
+    with ServeClient(*address, timeout=30) as client:
+        assert client.models() == []
+        stats = client.stats()
+        assert set(stats) - {"metrics"} == {"models", "cache", "fleet"}
+        assert set(stats["cache"]) == {"capacity", "cached", "specs",
+                                       "pinned", "hits", "misses",
+                                       "evictions"}
+        assert set(stats["fleet"]) == {"replicas", "totals", "aliases",
+                                       "quota"}
+        assert set(stats["fleet"]["totals"]) == {
+            "routed", "retried", "respawns", "rate_limited"}
+        assert client.reload_models() == {}
 
 
 def test_interleaved_garbage_does_not_poison_other_connections(

@@ -288,3 +288,26 @@ class TestFromRegistry:
         registry = ModelRegistry(tmp_path / "reg")
         with pytest.raises(ModelNotFound, match="no published models"):
             GenerationService.from_registry(registry)
+
+    def test_reload_and_quotas_work_without_replicas(self, tmp_path,
+                                                     trained_dg_gcut):
+        registry = ModelRegistry(tmp_path / "reg")
+        registry.publish("gcut", trained_dg_gcut)
+        service = GenerationService.from_registry(
+            registry, quota_rps=1.0, quota_burst=1, clock=lambda: 0.0)
+        client = InProcessClient(service)
+        try:
+            registry.publish("other", trained_dg_gcut)
+            assert client.reload_models() == {
+                "gcut": "gcut@1", "gcut@latest": "gcut@1",
+                "other": "other@1", "other@latest": "other@1"}
+            assert set(service.batchers) == {"gcut@1", "other@1"}
+            assert_datasets_identical(
+                client.generate("other", 3, seed=2, client="a"),
+                trained_dg_gcut.generate(3, rng=np.random.default_rng(2)))
+            with pytest.raises(ServeError) as err:
+                client.generate("other", 3, seed=2, client="a")
+            assert err.value.code == protocol.ERR_RATE_LIMITED
+            assert client.fleet_status()["totals"]["rate_limited"] == 1
+        finally:
+            service.close()
