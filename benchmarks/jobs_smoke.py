@@ -1,21 +1,26 @@
 """Jobs smoke check for CI: SIGKILL a supervised training worker
 mid-run and verify the supervisor auto-resumes the job from its latest
 checkpoint and publishes a model byte-identical to an uninterrupted
-control run (same blob sha in the content-addressed registry).
+control run (same blob sha in the content-addressed registry).  The
+control's blob must also equal what ``repro.cli train`` writes for the
+same options: the CLI and the job worker train through one function.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/jobs_smoke.py
 
 Exits non-zero on any mismatch: the job failing, no auto-resume
-happening, or the published bytes drifting from the control's.
+happening, the published bytes drifting from the control's, or the CLI
+writing different bytes for the same options.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import os
 import signal
+import subprocess
 import sys
 import tempfile
 import time
@@ -74,6 +79,27 @@ def main() -> int:
         control_sha = control.result["sha256"]
         print(f"[smoke] control published {control.result['spec']} "
               f"sha {control_sha[:16]}...")
+
+        print("[smoke] CLI: train with the control's options ...")
+        data_path = os.path.join(workdir, "data.npz")
+        with open(data_path, "wb") as handle:
+            handle.write(data_bytes)
+        cli_out = os.path.join(workdir, "cli_model.npz")
+        flags = [f"--{key.replace('_', '-')}={value}"
+                 for key, value in TRAIN.items()]
+        subprocess.run(
+            [sys.executable, "-m", "repro.cli", "train", "--data",
+             data_path, "--out", cli_out, *flags, "--checkpoint",
+             os.path.join(workdir, "cli_checkpoint.npz")],
+            check=True, stdout=subprocess.DEVNULL,
+            env={**os.environ, "PYTHONPATH": os.path.abspath(SRC)})
+        with open(cli_out, "rb") as handle:
+            cli_sha = hashlib.sha256(handle.read()).hexdigest()
+        if cli_sha != control_sha:
+            raise SystemExit(
+                "[smoke] FAIL: the CLI and the job trained different "
+                f"bytes\n  job: {control_sha}\n  cli: {cli_sha}")
+        print("[smoke] CLI model is byte-identical to the job's")
 
         print("[smoke] victim: SIGKILL the worker mid-training ...")
         victim_sup = _supervisor(workdir, "victim")

@@ -6,6 +6,9 @@ Importing this package registers the built-in architectures:
 - ``dlgan`` -- the dual-layer discrete+continuous generator,
 - ``hmm`` / ``ar`` / ``rnn`` / ``naive_gan`` -- the §5.0.1 baselines.
 
+:func:`train_model` (:mod:`repro.backends.training`) is the one place
+where training options become a fitted model of any of them.
+
 Third-party architectures plug in with
 ``register_backend(MyBackend())``; everything above the model layer
 (harness, sweep, registry, CLI) dispatches by name from then on.
@@ -28,6 +31,7 @@ from repro.backends.base import (DEFAULT_BACKEND, GeneratorBackend,
 from repro.backends.baselines import BASELINE_BACKENDS, BaselineBackend
 from repro.backends.dlgan import DLGAN, DLGANBackend, DLGANConfig
 from repro.backends.doppelganger import DoppelGANgerBackend
+from repro.backends.training import TrainOptionError, train_model
 
 __all__ = [
     "GeneratorBackend", "UnknownBackend", "DEFAULT_BACKEND",
@@ -36,6 +40,7 @@ __all__ = [
     "DoppelGANgerBackend", "DLGANBackend", "BaselineBackend",
     "DLGAN", "DLGANConfig",
     "sniff_backend", "load_model_bytes", "load_model_file",
+    "train_model", "TrainOptionError",
 ]
 
 register_backend(DoppelGANgerBackend())

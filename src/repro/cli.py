@@ -44,6 +44,7 @@ parent directories.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -52,8 +53,6 @@ import zipfile
 import numpy as np
 
 from repro.atomic import atomic_write
-from repro.core.config import DGConfig
-from repro.core.doppelganger import DoppelGANger
 from repro.data.dataset import TimeSeriesDataset
 from repro.data.simulators import (generate_flashcrowd, generate_gcut,
                                    generate_mba, generate_regime,
@@ -409,97 +408,53 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _train_other_backend(args, data) -> int:
-    """Train a non-DoppelGANger backend from bench-scale defaults.
-
-    The rich training flags (checkpointing, sentinel, sample-len) are
-    DoppelGANger-specific; other backends train from their bench-scale
-    config with ``--iterations/--batch-size/--hidden/--seed`` applied
-    where the architecture has a matching knob.
-    """
-    from repro.backends import get_backend
-    from repro.experiments.configs import BENCH
-
-    for flag, name in [(args.checkpoint, "--checkpoint"),
-                       (args.resume, "--resume"),
-                       (args.sentinel, "--sentinel"),
-                       (args.sample_len, "--sample-len"),
-                       (args.telemetry, "--telemetry")]:
-        if flag:
-            raise _CliError(f"{name} is only supported by the "
-                            f"doppelganger backend")
-    backend = get_backend(args.backend)
-    width = args.hidden
-    config = backend.make_config(
-        "custom", BENCH, seed=args.seed, iterations=args.iterations,
-        batch_size=args.batch_size, hidden=(width, width),
-        generator_hidden=(width, width),
-        discriminator_hidden=(width, width))
-    model = backend.from_config(data.schema, config)
-    backend.fit(model, data)
-    with open(args.out, "wb") as handle:
-        handle.write(backend.save_bytes(model))
-    print(f"model parameters written to {args.out} "
-          f"(backend {backend.name})")
-    return 0
-
-
 def _cmd_train(args) -> int:
+    from repro.backends import TrainOptionError, get_backend, train_model
+    from repro.backends.training import refuse_doppelganger_only
+
     data = _load_dataset(args.data)
     _ensure_parent(args.out)
     _ensure_parent(args.checkpoint)
-    if args.backend not in ("doppelganger", "dg"):
-        return _train_other_backend(args, data)
-    sample_len = args.sample_len or DGConfig.recommended_sample_len(
-        data.schema.max_length, target_passes=25)
-    width = args.hidden
-    config = DGConfig(
-        sample_len=sample_len,
-        attribute_hidden=(width, width), minmax_hidden=(width, width),
-        feature_rnn_units=max(width * 3 // 4, 8),
-        feature_mlp_hidden=(width,),
-        discriminator_hidden=(width, width),
-        aux_discriminator_hidden=(width, width),
-        batch_size=args.batch_size, iterations=args.iterations,
-        seed=args.seed,
-        use_minmax_generator=not args.no_minmax,
-        use_auxiliary_discriminator=not args.no_aux,
-    )
-    model = DoppelGANger(data.schema, config)
-    resume_from = None
-    if args.resume:
-        if not args.checkpoint:
-            print("--resume requires --checkpoint", file=sys.stderr)
-            return 2
-        if os.path.exists(args.checkpoint):
-            resume_from = args.checkpoint
-            print(f"resuming from {args.checkpoint}")
-    sentinel = None
+    backend = get_backend(args.backend)
+    options = {key: value for key, value in [
+        ("iterations", args.iterations), ("batch_size", args.batch_size),
+        ("hidden", args.hidden), ("seed", args.seed),
+        ("sample_len", args.sample_len),
+        ("use_minmax_generator", not args.no_minmax),
+        ("use_auxiliary_discriminator", not args.no_aux),
+    ] if value is not None}
     if args.sentinel:
-        from repro.resilience import SentinelPolicy
-        sentinel = SentinelPolicy(max_retries=args.max_retries)
+        options.update(sentinel=True, max_retries=args.max_retries)
+    if args.checkpoint:
+        options["checkpoint_every"] = args.checkpoint_every
 
-    def fit():
-        return model.fit(
-            data, log_every=max(args.iterations // 10, 1),
-            callback=lambda it, h: print(
-                f"iteration {it}: d_loss={h.d_loss[-1]:.3f} "
-                f"g_loss={h.g_loss[-1]:.3f}"),
-            train_state_path=args.checkpoint,
-            checkpoint_every=(args.checkpoint_every if args.checkpoint
-                              else None),
-            resume_from=resume_from, sentinel=sentinel)
-
-    if args.telemetry:
-        from repro.observability import TelemetryRun
-        with TelemetryRun(args.telemetry, run_id="train") as run:
-            history = fit()
-        paths = run.finalize()
-        print(f"telemetry written to {paths['events']}")
-    else:
-        history = fit()
-    model.save(args.out)
-    print(f"model parameters written to {args.out} (S={sample_len})")
+    run = None
+    try:
+        if args.telemetry:
+            refuse_doppelganger_only(backend, ["telemetry"])
+            from repro.observability import TelemetryRun
+            run = TelemetryRun(args.telemetry, run_id="train")
+        if args.resume and args.checkpoint \
+                and os.path.exists(args.checkpoint):
+            print(f"resuming from {args.checkpoint}")
+        with run or contextlib.nullcontext():
+            model = train_model(
+                backend, data, options, checkpoint=args.checkpoint,
+                resume=args.resume, callback=lambda it, h: print(
+                    f"iteration {it}: d_loss={h.d_loss[-1]:.3f} "
+                    f"g_loss={h.g_loss[-1]:.3f}"))
+    except TrainOptionError as exc:
+        raise _CliError(str(exc)) from None
+    if run is not None:
+        print(f"telemetry written to {run.finalize()['events']}")
+    atomic_write(args.out, backend.save_bytes(model))
+    if backend.name != "doppelganger":
+        print(f"model parameters written to {args.out} "
+              f"(backend {backend.name})")
+        return 0
+    print(f"model parameters written to {args.out} "
+          f"(S={model.config.sample_len})")
+    history = model.history
     if history.rollbacks or history.nan_events or history.runaway_events:
         print(f"sentinel events: nan={history.nan_events} "
               f"runaway={history.runaway_events} "

@@ -107,8 +107,7 @@ class DoppelGANger:
     # -- training ------------------------------------------------------------
     def fit(self, dataset: TimeSeriesDataset,
             iterations: int | None = None, log_every: int = 50,
-            callback=None, checkpoint_path=None,
-            keep_best_by=None, *, train_state_path=None,
+            callback=None, keep_best_by=None, *, train_state_path=None,
             checkpoint_every: int | None = None, resume_from=None,
             sentinel=None,
             history_window: int | None = None) -> TrainingHistory:
@@ -119,9 +118,6 @@ class DoppelGANger:
             iterations: Override the configured iteration count.
             log_every: History/callback cadence (in iterations).
             callback: Optional ``callback(iteration, history)``.
-            checkpoint_path: If given, the full model is saved here at
-                every logging point (and at the end), so long CPU runs can
-                be inspected or resumed via :meth:`load`.
             keep_best_by: Optional scoring function
                 ``f(model) -> float`` (lower is better) evaluated at each
                 logging point; on completion the generator weights of the
@@ -132,9 +128,9 @@ class DoppelGANger:
                 better than taking the final iterate.
             train_state_path: Destination for resumable full training
                 state (parameters + optimizer moments + RNG + history),
-                written atomically every ``checkpoint_every`` iterations.
-                Unlike ``checkpoint_path``, resuming from this file
-                continues training bit-identically (docs/robustness.md).
+                written atomically every ``checkpoint_every`` iterations;
+                resuming from this file continues training bit-identically
+                (docs/robustness.md).
             checkpoint_every: Cadence for ``train_state_path`` writes.
             resume_from: A ``train_state_path`` file to resume from.
             sentinel: Divergence sentinel switch/policy (see
@@ -162,11 +158,8 @@ class DoppelGANger:
                         name: module.state_dict()
                         for name, module in self._generator_modules().items()
                     }
-            if checkpoint_path is not None:
-                self.save(checkpoint_path)
 
-        use_wrapper = (callback is not None or keep_best_by is not None
-                       or checkpoint_path is not None)
+        use_wrapper = callback is not None or keep_best_by is not None
         self.history = self.trainer.train(
             encoded, iterations=iterations, log_every=log_every,
             callback=wrapped if use_wrapper else None,
@@ -176,8 +169,6 @@ class DoppelGANger:
         if best["state"] is not None:
             for name, module in self._generator_modules().items():
                 module.load_state_dict(best["state"][name])
-        if checkpoint_path is not None:
-            self.save(checkpoint_path)
         return self.history
 
     def _generator_modules(self) -> dict:

@@ -98,17 +98,6 @@ def get_split(dataset_name: str, model_name: str, scale: BenchScale = BENCH):
     return _SPLITS[key]
 
 
-def _build_model(dataset_name: str, model_name: str, scale: BenchScale,
-                 schema, seed: int | None = None, **config_overrides):
-    """Construct an untrained model through the backend registry."""
-    from repro.backends import get_backend
-
-    backend = get_backend(model_name)
-    config = backend.make_config(dataset_name, scale, seed=seed,
-                                 **config_overrides)
-    return backend.from_config(schema, config)
-
-
 def get_model(dataset_name: str, model_name: str, scale: BenchScale = BENCH,
               train_data=None, cache_tag: str = "", seed: int | None = None,
               **config_overrides):
@@ -136,8 +125,8 @@ def get_model(dataset_name: str, model_name: str, scale: BenchScale = BENCH,
         return _MODELS[key]
     data = train_data if train_data is not None else get_dataset(
         dataset_name, scale)
-    model = _build_model(dataset_name, model_name, scale, data.schema,
-                         seed=seed, **config_overrides)
+    model = backend.from_config(data.schema, backend.make_config(
+        dataset_name, scale, seed=seed, **config_overrides))
     # monotonic: wall-clock adjustments must not produce negative elapsed
     # (matches serve/batcher.py timing).
     started = time.monotonic()
@@ -194,9 +183,12 @@ class SweepResult:
 
 
 def _run_sweep_cells(cells, scale, config_overrides: dict, workers: int,
-                     cache_dir, isolate: bool,
-                     telemetry=None) -> SweepResult:
-    """Execute built cells through the parallel layer into a SweepResult."""
+                     cache_dir, telemetry=None) -> SweepResult:
+    """Execute built cells through the parallel layer into a SweepResult.
+
+    A cell that ran inline already has its failure in :data:`_FAILURES`
+    (:func:`get_model` recorded it), so each failure is recorded once.
+    """
     from repro.parallel.sweep import run_cells
 
     result = SweepResult()
@@ -204,16 +196,12 @@ def _run_sweep_cells(cells, scale, config_overrides: dict, workers: int,
                          cache_dir=cache_dir, telemetry=telemetry)
     for outcome in outcomes:
         result.timings[outcome.label] = outcome.timing
-        if outcome.failure is not None:
-            if not isolate:
-                raise RuntimeError(
-                    f"sweep cell {outcome.label} failed: "
-                    f"{outcome.failure.exception_type}: "
-                    f"{outcome.failure.message}")
-            result.failures.append(outcome.failure)
-            _FAILURES.append(outcome.failure)
-        else:
+        if outcome.failure is None:
             result.models[outcome.label] = outcome.model
+            continue
+        result.failures.append(outcome.failure)
+        if not any(record is outcome.failure for record in _FAILURES):
+            _FAILURES.append(outcome.failure)
     return result
 
 
@@ -249,16 +237,22 @@ def run_sweep(dataset_names, model_names, scale: BenchScale = BENCH,
               **config_overrides) -> SweepResult:
     """Train every (dataset, model[, seed]) cell, isolating failures.
 
-    With ``isolate=True`` (the default) a model whose ``fit`` raises is
-    recorded as a :class:`FailureRecord` and the sweep continues with the
-    remaining cells; the failures are printed as a summary table at the
-    end instead of aborting with a traceback.  ``isolate=False`` restores
-    fail-fast behaviour (serial in-process sweeps only).
+    Every sweep is one path: :func:`~repro.parallel.sweep.build_cells`,
+    then :func:`~repro.parallel.sweep.run_cells` (inline at
+    ``workers=1``), then optional quality scoring, then the failure
+    table; ``telemetry`` only wraps it.  With ``isolate=True`` (the
+    default) a model whose ``fit`` raises is recorded once as a
+    :class:`FailureRecord` and the remaining cells still train; the
+    failures are printed as a summary table at the end instead of
+    aborting with a traceback.  With ``isolate=False``, once the cells
+    have run, a :class:`RuntimeError` names the first failed cell, at
+    every worker count.
 
     Args:
         workers: Worker subprocesses to farm cells to.  ``workers=1`` runs
-            in-process; any worker count produces bit-identical models
-            (see docs/architecture.md, "Parallel execution").
+            every cell inline in this process (sharing its model and
+            dataset caches); any worker count produces bit-identical
+            models (see docs/architecture.md, "Parallel execution").
         seeds: ``None`` for one cell per pair at the scale's seed; an int
             ``k`` for k replicas with decorrelated spawned seeds; or an
             explicit list of training seeds.  Multi-seed cells are keyed
@@ -275,15 +269,18 @@ def run_sweep(dataset_names, model_names, scale: BenchScale = BENCH,
             per-cell event/metric files and the parent merges them into
             ``events.jsonl`` / ``metrics.json`` / ``report.md`` -- all
             deterministic and worker-count invariant (see
-            docs/observability.md).  Forces the cell execution path so
-            serial and parallel sweeps log identically; note that cells
-            already memoised in this process's harness cache skip
-            training (and its events), so start from a fresh process or
-            :func:`clear_cache` for byte-comparable logs.
+            docs/observability.md).  Cells already memoised in this
+            process's harness cache skip training (and its events), so
+            start from a fresh process or :func:`clear_cache` for
+            byte-comparable logs.
     """
-    from repro.parallel.sweep import build_cells, run_cells
+    from repro.parallel.sweep import build_cells, cell_id
 
-    if telemetry is not None:
+    cells = build_cells(dataset_names, model_names, seeds, scale.seed)
+    if telemetry is None:
+        result = _run_sweep_cells(cells, scale, config_overrides, workers,
+                                  cache_dir)
+    else:
         from repro.observability import TelemetryRun, emit
 
         with TelemetryRun(telemetry, run_id="sweep") as run:
@@ -295,59 +292,18 @@ def run_sweep(dataset_names, model_names, scale: BenchScale = BENCH,
                 else [int(s) for s in seeds],
                 "cached": cache_dir is not None,
             }, volatile={"workers": workers})
-            cells = build_cells(dataset_names, model_names, seeds,
-                                scale.seed)
             result = _run_sweep_cells(
                 cells, scale, config_overrides, workers, cache_dir,
-                isolate, telemetry=(run.root, run.run_id))
+                telemetry=(run.root, run.run_id))
             emit("sweep.finish", {"trained": len(result.models),
                                   "failed": len(result.failures)})
         run.finalize(cell_labels=[c.label for c in cells])
-        if quality:
-            _score_sweep(result, scale, quality)
-        if verbose and result.failures:
-            print_table(
-                "Sweep failures",
-                ["dataset", "model", "exception", "iteration", "retries",
-                 "message"],
-                [f.row() for f in result.failures])
-        return result
-
-    result = SweepResult()
-    use_cells = workers > 1 or seeds is not None or cache_dir is not None
-    if not use_cells:
-        # In-process fast path: shares this process's model/dataset caches.
-        for dataset_name in dataset_names:
-            for model_name in model_names:
-                wall0, cpu0 = time.perf_counter(), time.process_time()
-                failed = False
-                try:
-                    result.models[(dataset_name, model_name)] = get_model(
-                        dataset_name, model_name, scale, **config_overrides)
-                except (KeyboardInterrupt, SimulatedKill):
-                    raise
-                except Exception as exc:
-                    if not isolate:
-                        raise
-                    failed = True
-                    if _FAILURES and _FAILURES[-1].dataset == dataset_name \
-                            and _FAILURES[-1].model == model_name:
-                        record = _FAILURES[-1]
-                    else:
-                        # Failure before fit() (dataset build, bad config).
-                        record = FailureRecord.from_exception(
-                            dataset_name, model_name, exc)
-                        _FAILURES.append(record)
-                    result.failures.append(record)
-                from repro.parallel.sweep import CellTiming
-                result.timings[(dataset_name, model_name)] = CellTiming(
-                    wall=time.perf_counter() - wall0,
-                    cpu=time.process_time() - cpu0,
-                    failed=failed, pid=os.getpid())
-    else:
-        cells = build_cells(dataset_names, model_names, seeds, scale.seed)
-        result = _run_sweep_cells(cells, scale, config_overrides, workers,
-                                  cache_dir, isolate)
+    if not isolate and result.failures:
+        first = result.failures[0]
+        failed = next(label for label, timing in result.timings.items()
+                      if timing.failed)
+        raise RuntimeError(f"sweep cell {cell_id(failed)} failed: "
+                           f"{first.exception_type}: {first.message}")
     if quality:
         _score_sweep(result, scale, quality)
     if verbose and result.failures:

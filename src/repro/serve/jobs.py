@@ -55,6 +55,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from repro.atomic import atomic_write
+from repro.backends.training import TRAIN_KEYS, check_options
 from repro.observability import events as obs_events
 from repro.observability import metrics as obs_metrics
 from repro.resilience.retry import RetryPolicy
@@ -69,14 +70,6 @@ JOB_STATES = ("queued", "running", "completed", "failed", "cancelled")
 
 #: States a job never leaves.
 TERMINAL_STATES = ("completed", "failed", "cancelled")
-
-#: Training overrides a submission may carry; everything else is a
-#: ``bad_request`` at the protocol boundary, not a silent ignore.
-TRAIN_KEYS = {
-    "iterations": int, "batch_size": int, "hidden": int,
-    "sample_len": int, "seed": int, "checkpoint_every": int,
-    "max_retries": int, "sentinel": bool,
-}
 
 #: Auto-evaluation options a submission may carry (``evaluate``); the
 #: worker scores the published model against the job's own training
@@ -94,52 +87,21 @@ class UnknownJob(JobError):
     """No job record exists under the requested id."""
 
 
-def validate_train_overrides(train: dict | None) -> dict:
+def validate_train_overrides(train: dict | None, backend=None) -> dict:
     """Check a submission's training overrides; returns a clean copy.
 
     Raises :class:`JobError` naming the offending key so the protocol
-    layer can forward it as a ``bad_request``.
+    layer can forward it as a ``bad_request``; with ``backend`` given, a
+    DoppelGANger-only key for another backend is refused the same way.
     """
-    clean: dict = {}
-    for key, value in dict(train or {}).items():
-        expected = TRAIN_KEYS.get(key)
-        if expected is None:
-            raise JobError(
-                f"unknown training option {key!r} "
-                f"(supported: {', '.join(sorted(TRAIN_KEYS))})")
-        if expected is bool:
-            if not isinstance(value, bool):
-                raise JobError(f"training option {key!r} must be a "
-                               f"boolean, got {value!r}")
-        elif not isinstance(value, int) or isinstance(value, bool):
-            raise JobError(f"training option {key!r} must be an "
-                           f"integer, got {value!r}")
-        clean[key] = value
-    return clean
+    return check_options(train, TRAIN_KEYS, "training", backend=backend,
+                         error=JobError)
 
 
 def validate_evaluate_options(evaluate: dict | None) -> dict:
-    """Check a submission's auto-evaluation options; returns a clean copy.
-
-    Mirrors :func:`validate_train_overrides`: an unknown or mistyped key
-    is a :class:`JobError` (-> ``bad_request``), never a silent ignore.
-    """
-    clean: dict = {}
-    for key, value in dict(evaluate or {}).items():
-        expected = EVALUATE_KEYS.get(key)
-        if expected is None:
-            raise JobError(
-                f"unknown evaluate option {key!r} "
-                f"(supported: {', '.join(sorted(EVALUATE_KEYS))})")
-        if expected is bool:
-            if not isinstance(value, bool):
-                raise JobError(f"evaluate option {key!r} must be a "
-                               f"boolean, got {value!r}")
-        elif not isinstance(value, int) or isinstance(value, bool):
-            raise JobError(f"evaluate option {key!r} must be an "
-                           f"integer, got {value!r}")
-        clean[key] = value
-    return clean
+    """Check a submission's auto-evaluation options; returns a clean copy."""
+    return check_options(evaluate, EVALUATE_KEYS, "evaluate",
+                         error=JobError)
 
 
 @dataclass

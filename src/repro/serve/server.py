@@ -604,7 +604,7 @@ class GenerationService:
                                f"train must be a JSON object, "
                                f"got {train!r}")
         try:
-            train = validate_train_overrides(train)
+            train = validate_train_overrides(train, backend)
         except JobError as exc:
             return self._error(protocol.ERR_BAD_REQUEST, str(exc))
         if not payload:
@@ -730,13 +730,11 @@ class Server:
                 except (protocol.ProtocolError, OSError):
                     return  # drop malformed/broken connections
                 if self._closing:
-                    response, payload = (
-                        {"status": "error",
-                         "code": protocol.ERR_SHUTTING_DOWN,
-                         "error": "server is draining"}, b"")
+                    response, payload = protocol.error_response(
+                        protocol.ERR_SHUTTING_DOWN, "server is draining")
                 else:
-                    response, payload = self.service.handle(
-                        header, request_payload)
+                    response, payload = self._handle(header,
+                                                     request_payload)
                 try:
                     protocol.write_message(wfile, response, payload)
                 except (OSError, ValueError):
@@ -753,6 +751,24 @@ class Server:
                 pass
             with self._conn_lock:
                 self._conns.pop(key, None)
+
+    def _handle(self, header: dict, payload: bytes) -> tuple[dict, bytes]:
+        """``service.handle``, with a raise answered as ``internal``.
+
+        A raising handler is a bug, not a request error: it is counted
+        and emitted, and the connection keeps serving.
+        """
+        try:
+            return self.service.handle(header, payload)
+        except Exception as exc:
+            obs_metrics.counter("serve.internal_errors").inc()
+            obs_events.emit("serve.internal_error",
+                            {"op": str(header.get("op"))},
+                            volatile={"error": repr(exc)}, transient=True)
+            return protocol.error_response(
+                protocol.ERR_INTERNAL,
+                f"internal error handling {header.get('op')!r}: "
+                f"{type(exc).__name__}: {exc}")
 
     # -- lifecycle -----------------------------------------------------------
     def shutdown(self, drain: bool = True, timeout: float = 30.0) -> None:

@@ -36,7 +36,7 @@ import os
 import sys
 
 from repro.atomic import atomic_write
-from repro.backends import get_backend
+from repro.backends import DEFAULT_BACKEND, get_backend, train_model
 from repro.data.dataset import TimeSeriesDataset
 from repro.observability import events as obs_events
 from repro.resilience import faults
@@ -61,59 +61,6 @@ def _arm_faults(record: JobRecord) -> None:
                                   times=int(spec.get("times", 1))))
     if armed:
         faults.install(*armed)
-
-
-def _train_doppelganger(record: JobRecord, data: TimeSeriesDataset,
-                        checkpoint: str):
-    """Fit the paper's model with checkpoint/resume and the sentinel."""
-    from repro.core.config import DGConfig
-    from repro.core.doppelganger import DoppelGANger
-
-    train = record.train
-    width = int(train.get("hidden", 32))
-    sample_len = train.get("sample_len") or \
-        DGConfig.recommended_sample_len(data.schema.max_length,
-                                        target_passes=25)
-    config = DGConfig(
-        sample_len=sample_len,
-        attribute_hidden=(width, width), minmax_hidden=(width, width),
-        feature_rnn_units=max(width * 3 // 4, 8),
-        feature_mlp_hidden=(width,),
-        discriminator_hidden=(width, width),
-        aux_discriminator_hidden=(width, width),
-        batch_size=int(train.get("batch_size", 32)),
-        iterations=int(train.get("iterations", 400)),
-        seed=int(train.get("seed", 0)),
-    )
-    model = DoppelGANger(data.schema, config)
-    sentinel = None
-    if train.get("sentinel"):
-        from repro.resilience import SentinelPolicy
-        sentinel = SentinelPolicy(
-            max_retries=int(train.get("max_retries", 3)))
-    resume_from = checkpoint if os.path.exists(checkpoint) else None
-    model.fit(data, train_state_path=checkpoint,
-              checkpoint_every=int(train.get("checkpoint_every", 25)),
-              resume_from=resume_from, sentinel=sentinel)
-    return model
-
-
-def _train_generic(record: JobRecord, data: TimeSeriesDataset):
-    """Fit any other registered backend from bench-scale defaults."""
-    from repro.experiments.configs import BENCH
-
-    backend = get_backend(record.backend)
-    train = record.train
-    width = int(train.get("hidden", 32))
-    config = backend.make_config(
-        "custom", BENCH, seed=int(train.get("seed", 0)),
-        iterations=int(train.get("iterations", 400)),
-        batch_size=int(train.get("batch_size", 32)),
-        hidden=(width, width), generator_hidden=(width, width),
-        discriminator_hidden=(width, width))
-    model = backend.from_config(data.schema, config)
-    backend.fit(model, data)
-    return model
 
 
 def _attach_scores(record: JobRecord, store: JobStore,
@@ -145,14 +92,16 @@ def run_job(job_dir: str, registry_root: str) -> int:
     model_path = store.model_path(job_id)
     if not os.path.exists(model_path):
         data = TimeSeriesDataset.load(store.data_path(job_id))
+        # Only DoppelGANger checkpoints; the other backends retrain from
+        # scratch on every attempt.
+        resumable = backend.name == DEFAULT_BACKEND
         events_path = store.events_path(job_id, max(record.attempts, 1))
         with obs_events.capture(obs_events.EventLog(events_path,
                                                     run_id=job_id)):
-            if backend.name == "doppelganger":
-                model = _train_doppelganger(
-                    record, data, store.checkpoint_path(job_id))
-            else:
-                model = _train_generic(record, data)
+            model = train_model(
+                backend, data, record.train, resume=resumable,
+                checkpoint=store.checkpoint_path(job_id) if resumable
+                else None)
         atomic_write(model_path, backend.save_bytes(model))
 
     # Publish boundary: a kill here leaves the finished model archive on

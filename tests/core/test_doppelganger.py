@@ -152,16 +152,6 @@ class TestGeneratorRegularisation:
 
 
 class TestCheckpointingAndSnapshotSelection:
-    def test_checkpoint_written_and_loadable(self, tiny_gcut, tmp_path):
-        path = tmp_path / "ckpt.npz"
-        model = DoppelGANger(tiny_gcut.schema, tiny_dg_config(iterations=6))
-        model.fit(tiny_gcut, log_every=2, checkpoint_path=path)
-        assert path.exists()
-        resumed = DoppelGANger.load(path)
-        a = model.generate(4, rng=np.random.default_rng(1))
-        b = resumed.generate(4, rng=np.random.default_rng(1))
-        assert np.allclose(a.features, b.features)
-
     def test_keep_best_by_restores_best_snapshot(self, tiny_gcut):
         """With a score that prefers the FIRST evaluation, the final
         generator must equal the first-snapshot generator."""

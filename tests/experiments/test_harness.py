@@ -158,6 +158,39 @@ class TestSweepIsolation:
         with pytest.raises(RuntimeError, match="boom"):
             run_sweep(["gcut"], ["hmm"], TINY, isolate=False)
 
+    @pytest.mark.parametrize("seeds", [None, [5]])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_failed_cell_is_recorded_once(self, monkeypatch, workers,
+                                               seeds):
+        """Inline or in a worker, one failing cell is one record."""
+        from unittest import mock
+        from repro.baselines import HMMBaseline
+        from repro.experiments import clear_cache, get_failures, run_sweep
+
+        clear_cache()
+        monkeypatch.setattr(HMMBaseline, "fit",
+                            mock.Mock(side_effect=RuntimeError("boom")))
+        result = run_sweep(["gcut"], ["hmm", "ar"], TINY, workers=workers,
+                           seeds=seeds, verbose=False)
+        assert len(result.failures) == 1
+        assert len(get_failures()) == 1
+        assert get_failures()[0] is result.failures[0]
+
+    def test_isolate_false_raises_after_every_cell_ran(self, monkeypatch):
+        from unittest import mock
+        from repro.baselines import HMMBaseline
+        from repro.experiments import clear_cache, get_failures, run_sweep
+        from repro.experiments.harness import _MODELS
+
+        clear_cache()
+        monkeypatch.setattr(HMMBaseline, "fit",
+                            mock.Mock(side_effect=RuntimeError("boom")))
+        with pytest.raises(RuntimeError, match="gcut/hmm failed"):
+            run_sweep(["gcut"], ["hmm", "ar"], TINY, isolate=False,
+                      verbose=False)
+        assert len(get_failures()) == 1
+        assert [key[1] for key in _MODELS.keys()] == ["ar"]
+
     def test_training_diverged_carries_iteration_and_retries(self,
                                                              monkeypatch):
         """A diverging DoppelGANger surfaces its partial history in the

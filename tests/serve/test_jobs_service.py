@@ -137,6 +137,8 @@ class TestJobValidation:
                             backend="no-such-backend")
         self._submit_raises(client, bad, name="m", dataset=dataset,
                             train={"learning_rate": 1})
+        self._submit_raises(client, bad, name="m", dataset=dataset,
+                            backend="hmm", train={"sentinel": True})
         self._submit_raises(client, bad, name="m", dataset=b"not-npz")
         self._submit_raises(client, bad, name="m", dataset=dataset,
                             max_attempts=0)

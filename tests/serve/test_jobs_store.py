@@ -63,6 +63,21 @@ class TestValidateTrainOverrides:
             validate_train_overrides({"batch_size": True})
 
 
+    @pytest.mark.parametrize("key,value", [
+        ("sentinel", True), ("checkpoint_every", 5), ("sample_len", 4),
+        ("max_retries", 2)])
+    def test_doppelganger_only_keys_refused_for_other_backends(self, key,
+                                                                value):
+        """Refused at submit with the CLI's message, never ignored."""
+        flag = "--" + key.replace("_", "-")
+        with pytest.raises(JobError, match=f"^{flag} is only supported "
+                                           f"by the doppelganger backend$"):
+            validate_train_overrides({key: value, "iterations": 3}, "hmm")
+        assert validate_train_overrides({key: value}, "doppelganger") \
+            == {key: value}
+        assert validate_train_overrides({key: value}, "dg") == {key: value}
+
+
 class TestJobStore:
     def test_create_assigns_dense_ordered_ids(self, store):
         created = [_create(store) for _ in range(3)]

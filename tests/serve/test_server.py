@@ -162,6 +162,54 @@ class TestRequestValidation:
             assert client.ping()
 
 
+class _RaisesOnce:
+    """A stub service whose first ``handle`` call raises (a bug)."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def handle(self, header, payload=b""):
+        self.calls += 1
+        if self.calls == 1:
+            raise AttributeError("handler bug")
+        return {"status": "ok"}, b""
+
+    def close(self, drain=True, timeout=30.0):
+        pass
+
+
+class TestHandlerCrash:
+    def test_raise_is_internal_and_connection_keeps_serving(self,
+                                                            tmp_path):
+        from repro.observability import events as obs_events
+        from repro.observability import metrics as obs_metrics
+
+        registry = obs_metrics.MetricsRegistry()
+        with obs_metrics.use(registry), \
+                obs_events.EventLog(tmp_path / "events.jsonl") as log, \
+                obs_events.capture(log), Server(_RaisesOnce()) as server:
+            raw = socket.create_connection(server.address, timeout=10)
+            rfile, wfile = raw.makefile("rb"), raw.makefile("wb")
+            try:
+                protocol.write_message(wfile, {"op": "stats"})
+                header, _ = protocol.read_message(rfile)
+                assert header["status"] == "error"
+                assert header["code"] == protocol.ERR_INTERNAL
+                assert "handler bug" in header["error"]
+                # The same connection serves the next request.
+                protocol.write_message(wfile, {"op": "ping"})
+                header, _ = protocol.read_message(rfile)
+                assert header == {"status": "ok"}
+            finally:
+                rfile.close()
+                wfile.close()
+                raw.close()
+        assert registry.dump()["counters"]["serve.internal_errors"] == 1
+        crashed = [e for e in log.events if e.kind == "serve.internal_error"]
+        assert len(crashed) == 1 and crashed[0].transient
+        assert "handler bug" in crashed[0].volatile["error"]
+
+
 class TestBackpressure:
     def test_busy_is_surfaced_through_the_socket(self, monkeypatch,
                                                  trained_dg_gcut):
